@@ -11,8 +11,10 @@
 //!    `session_cold_line` the server synthesizes (this is also the
 //!    divergence-audit path, and the *specification* of every session
 //!    answer);
-//! 3. **resync** — one full journal replay from the pinned base, the
-//!    recovery cost after a fault.
+//! 3. **resync** — the recovery cost after a fault: the first `resync`
+//!    of a session replays its whole journal (audits are off here, so
+//!    the replay checkpoint is still the base); later ones start from
+//!    that replay and redo nothing.
 //!
 //! The gate, asserted on every family at full and smoke scale: every warm
 //! session payload is **byte-identical** to its cold re-solve. Timing is
@@ -101,13 +103,16 @@ fn run_family(
         );
     }
 
-    // Resync: one full journal replay (best of 3 — the work is identical
-    // each time).
-    let mut resync_ms = f64::INFINITY;
+    // Resync: the first one replays all `deltas` journal ops and is the
+    // timed one; the two after it start from its checkpoint and must
+    // still serve the committed view.
+    let mut resync_ms = 0.0;
     for i in 0..3 {
         let t0 = Instant::now();
         let rs = router.handle_line(&format!("ndg1;id=rs{i};method=resync;session={sid}"));
-        resync_ms = resync_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        if i == 0 {
+            resync_ms = t0.elapsed().as_secs_f64() * 1e3;
+        }
         assert!(rs.contains(";resynced=1;"), "{id}: resync failed: {rs}");
         assert_eq!(
             payload_of(&rs),
@@ -201,7 +206,7 @@ fn main() {
     }
     println!(
         "OK: every warm session payload byte-identical to its cold re-solve \
-         ({} deltas x {} families); resync replays the full journal",
+         ({} deltas x {} families); the first resync replays the full journal",
         deltas,
         results.len()
     );
@@ -217,8 +222,9 @@ fn main() {
             "    \"note\": \"Delta sessions: seeded patch sequences through method=delta \
              (warm: engine starts from the previous converged state) vs cold re-solves of \
              the synthesized per-epoch instances (the audit path and the byte-identity \
-             specification, asserted on every delta). resync_ms is one full journal replay \
-             from the pinned base. Sequential executor, 1-core container; the warm/cold \
+             specification, asserted on every delta). resync_ms is a session's first resync, \
+             one replay of the whole journal from the base (audits off); later resyncs \
+             start from that replay's checkpoint. Sequential executor; the warm/cold \
              work ratio is the portable part.\",\n",
         );
         s.push_str("    \"families\": [\n");

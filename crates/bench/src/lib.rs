@@ -1,8 +1,8 @@
 //! `ndg-bench` — shared workload builders for the experiment harness.
 //!
 //! One Criterion bench and one deterministic experiment binary exist per
-//! paper artifact (see DESIGN.md §3); both pull their instances from here
-//! so timings and printed tables describe the same workloads.
+//! paper artifact; both pull their instances from here so timings and
+//! printed tables describe the same workloads.
 
 use ndg_core::NetworkDesignGame;
 use ndg_graph::{generators, kruskal, EdgeId, NodeId};

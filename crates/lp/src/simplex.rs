@@ -4,7 +4,7 @@
 //! dense tableau with Dantzig pricing (Bland's rule fallback for
 //! anti-cycling) is both simple and ample. The paper invokes the ellipsoid
 //! method purely as a polynomiality certificate; any exact LP oracle yields
-//! the identical optima (see DESIGN.md, substitution table).
+//! the identical optima, so simplex stands in for it here.
 //!
 //! Model handled: minimize `cᵀx`, rows `≤ / ≥ / =`, box bounds
 //! `lo ≤ x ≤ hi`. Bounds are normalized by shifting to `y = x − lo ≥ 0`;

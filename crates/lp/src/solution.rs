@@ -1,8 +1,8 @@
 //! LP solution records and re-verification.
 //!
-//! DESIGN.md's numeric conventions require every accepted LP solution to be
-//! re-verified against the original constraints (the simplex tableau can
-//! drift); `verify` implements that final gate.
+//! Every accepted LP solution is re-verified against the original
+//! constraints (the simplex tableau can drift); `verify` implements that
+//! final gate.
 
 use crate::problem::LinearProgram;
 

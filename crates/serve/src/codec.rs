@@ -807,6 +807,15 @@ impl Method {
     }
 }
 
+/// Whether a raw request line names a session method: the batch
+/// scheduler's classifier, run before parsing (a line that then fails to
+/// parse answers its error on whichever lane it ran).
+pub(crate) fn is_session_line(line: &str) -> bool {
+    line.split(';')
+        .filter_map(|f| f.strip_prefix("method="))
+        .any(|m| Method::parse(m).is_ok_and(Method::is_session))
+}
+
 /// One session delta: an O(Δ) perturbation of a pinned instance.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DeltaOp {

@@ -360,12 +360,42 @@ impl Router {
     /// Handle a batch of request lines on the executor: responses come
     /// back in request order, each worker reuses one pooled Dijkstra
     /// workspace for its whole contiguous chunk.
+    ///
+    /// Session lines (`open`/`delta`/`resync`/`close`) share state — a
+    /// `delta` names the id an earlier `open` assigned, a `close` retires
+    /// it — so they take effect in request order: all of a batch's
+    /// session lines run sequentially as one work unit of the fan-out,
+    /// while every other line stays a unit of its own. (The
+    /// exact-sequential executor already runs every line in order.)
     pub fn handle_batch(&self, lines: &[String]) -> Vec<String> {
-        self.ex.par_map_with(
-            lines,
+        let (lane, rest): (Vec<usize>, Vec<usize>) =
+            (0..lines.len()).partition(|&i| crate::codec::is_session_line(&lines[i]));
+        if lane.is_empty() || self.ex.threads() == 1 {
+            return self.ex.par_map_with(
+                lines,
+                || self.pool.acquire(),
+                |ws, line| self.handle_with(line, ws),
+            );
+        }
+        let units: Vec<Vec<usize>> = std::iter::once(lane)
+            .chain(rest.into_iter().map(|i| vec![i]))
+            .collect();
+        let answers = self.ex.par_map_with(
+            &units,
             || self.pool.acquire(),
-            |ws, line| self.handle_with(line, ws),
-        )
+            |ws, unit| {
+                unit.iter()
+                    .map(|&i| self.handle_with(&lines[i], ws))
+                    .collect::<Vec<_>>()
+            },
+        );
+        let mut out = vec![String::new(); lines.len()];
+        for (unit, answers) in units.iter().zip(answers) {
+            for (&i, answer) in unit.iter().zip(answers) {
+                out[i] = answer;
+            }
+        }
+        out
     }
 
     fn handle_with(&self, line: &str, ws: &mut DijkstraWorkspace) -> String {
@@ -676,9 +706,9 @@ impl Router {
     ///    `conns_reaped`, `conns_drained`
     /// 4. robustness: `shed`, `panics`, `deadlines`
     /// 5. sessions: `sessions_open`, `sessions_opened`, `sessions_expired`,
-    ///    `deltas`, `resyncs`, `audits`, `audits_failed`,
-    ///    `sessions_journal_ops` (total journal length across live
-    ///    sessions — the resync-replay cost building up)
+    ///    `deltas`, `resyncs`, `audits`, `audits_failed`, `replay_steps`
+    ///    (journal ops re-solved by replays), `sessions_journal_ops`
+    ///    (total journal length across live sessions — journal memory)
     /// 6. process: `uptime_ms` (since construction or the last clock swap)
     /// 7. slow ring: `slow_count`, then one
     ///    `slow{i}={method}:{key:016x}:{total_us}:{parse/canon/cache/delta/solve/unmap/write}`
@@ -694,7 +724,8 @@ impl Router {
              conns_eof={};conns_reset={};conns_err={};conns_reaped={};conns_drained={};\
              shed={};panics={};deadlines={};\
              sessions_open={};sessions_opened={};sessions_expired={};\
-             deltas={};resyncs={};audits={};audits_failed={};sessions_journal_ops={};\
+             deltas={};resyncs={};audits={};audits_failed={};replay_steps={};\
+             sessions_journal_ops={};\
              uptime_ms={};slow_count={}",
             s.entries,
             s.capacity,
@@ -719,6 +750,7 @@ impl Router {
             sess.resyncs,
             sess.audits,
             sess.audits_failed,
+            sess.replay_steps,
             self.sessions.journal_ops(),
             self.uptime_ms(),
             slow.len(),
@@ -1035,16 +1067,14 @@ impl Router {
         };
         laps.lap(STAGE_SOLVE);
         let converged = crate::session::state_paths(&state);
-        let sid = self.sessions.open(crate::session::Session {
-            base: synth.clone(),
-            journal: Vec::new(),
-            view: crate::session::View {
+        let sid = self.sessions.open(crate::session::Session::new(
+            synth.clone(),
+            crate::session::View {
                 req: synth,
                 payload: payload.clone(),
                 converged,
             },
-            dirty: false,
-        })?;
+        ))?;
         ndg_obs::events::emit(
             "session",
             vec![("op", "open".to_string()), ("sid", sid.clone())],
@@ -1055,7 +1085,7 @@ impl Router {
     /// `method=delta`: journal the op (write-ahead), apply it to clones,
     /// solve warm from the carried converged state, and commit the new
     /// view atomically. Any panic degrades to a journal replay from the
-    /// pinned base; every `--audit-every`th committed delta is
+    /// session's checkpoint; every `--audit-every`th committed delta is
     /// divergence-audited against that same cold replay.
     fn session_delta(
         &self,
@@ -1112,7 +1142,7 @@ impl Router {
                 let epoch = s.epoch();
                 let every = self.sessions.config().audit_every;
                 if every > 0 && epoch.is_multiple_of(every) {
-                    match self.replay_journal(&s.base, &s.journal) {
+                    match self.replay_journal(&mut s) {
                         Ok(cold) => {
                             let failed = cold.payload != s.view.payload
                                 || cold.converged != s.view.converged;
@@ -1158,14 +1188,14 @@ impl Router {
             Err(_) => {
                 // Panic mid-delta (injected or real): discard the
                 // incremental attempt and replay the journal from the
-                // pinned base, through the journaled op.
+                // checkpoint, through the journaled op.
                 self.conn_stats.panics.fetch_add(1, Ordering::Relaxed);
                 ndg_obs::events::emit(
                     "session",
                     vec![("op", "panic".to_string()), ("sid", sid.to_string())],
                 );
                 ndg_obs::events::dump_current("session delta panicked");
-                match self.replay_journal(&s.base, &s.journal) {
+                match self.replay_journal(&mut s) {
                     Ok(view) => {
                         s.view = view;
                         s.dirty = false;
@@ -1199,7 +1229,7 @@ impl Router {
     }
 
     /// `method=resync`: client-requested recovery — discard the
-    /// incremental view, replay the journal from the pinned base, and
+    /// incremental view, replay the journal from the checkpoint, and
     /// serve the reconstructed answer (`resynced=1`, epoch unchanged).
     fn session_resync(
         &self,
@@ -1222,7 +1252,7 @@ impl Router {
             s.dirty = true; // recover on the next operation
             return Err(engine_panicked());
         }
-        match self.replay_journal(&s.base, &s.journal) {
+        match self.replay_journal(&mut s) {
             Ok(view) => {
                 s.view = view;
                 s.dirty = false;
@@ -1271,53 +1301,84 @@ impl Router {
         ))
     }
 
-    /// Replay a session's write-ahead journal from its pinned base:
-    /// re-solve the base, then re-apply and re-solve every journaled
-    /// delta in order. Deterministic — it repeats exactly the warm
-    /// path's apply/solve calls — and deliberately budget-free: recovery
-    /// and audits must not be starved by a client deadline.
+    /// Replay a session's write-ahead journal from its checkpoint:
+    /// re-apply and re-solve every delta journaled since, in order, and
+    /// make the result the new checkpoint. Deterministic — it repeats
+    /// exactly the warm path's apply/solve calls — and deliberately
+    /// budget-free: recovery and audits must not be starved by a client
+    /// deadline.
     fn replay_journal(
         &self,
-        base: &Request,
-        journal: &[crate::codec::DeltaOp],
+        s: &mut crate::session::Session,
+    ) -> Result<crate::session::View, ReplayError> {
+        let ops = &s.journal[s.checkpoint.epoch..];
+        self.sessions.note_replay_steps(ops.len());
+        let from = s.checkpoint.view.clone();
+        let view = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.fold_journal(from, ops)
+        }))
+        .unwrap_or(Err(ReplayError::Panicked))?;
+        // PARANOIA: the checkpointed fold must equal a full replay from
+        // the pinned base (debug builds, so every tier-1 session test
+        // proves the equivalence).
+        #[cfg(debug_assertions)]
+        {
+            let full = self
+                .dynamics_full(&s.base, &Budget::unlimited())
+                .map_err(|err| ReplayError::Step { last: false, err })
+                .and_then(|(payload, state)| {
+                    let solved = crate::session::View {
+                        req: s.base.clone(),
+                        payload,
+                        converged: crate::session::state_paths(&state),
+                    };
+                    self.fold_journal(solved, &s.journal)
+                });
+            let Ok(full) = full else {
+                panic!("PARANOIA: the base and full journal replay")
+            };
+            assert_eq!(full.payload, view.payload, "PARANOIA: replay payload");
+            assert_eq!(full.converged, view.converged, "PARANOIA: replay paths");
+            assert_eq!(full.req.game, view.req.game, "PARANOIA: replay game");
+            assert_eq!(full.req.subsidy, view.req.subsidy, "PARANOIA: replay b");
+        }
+        s.checkpoint = crate::session::Checkpoint {
+            epoch: s.journal.len(),
+            view: view.clone(),
+        };
+        Ok(view)
+    }
+
+    /// Fold journal ops onto a solved view: apply each op to clones of
+    /// the view's instance and re-solve from its converged paths.
+    fn fold_journal(
+        &self,
+        mut view: crate::session::View,
+        ops: &[crate::codec::DeltaOp],
     ) -> Result<crate::session::View, ReplayError> {
         let unlimited = Budget::unlimited();
-        let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (payload, state) =
-                self.dynamics_full(base, &unlimited)
-                    .map_err(|err| ReplayError::Step {
-                        last: journal.is_empty(),
-                        err,
-                    })?;
-            let mut view = crate::session::View {
-                req: base.clone(),
-                payload,
+        for (i, &op) in ops.iter().enumerate() {
+            let last = i + 1 == ops.len();
+            let fail = |err| ReplayError::Step { last, err };
+            let mut game = view.req.game.clone().ok_or_else(|| fail(corrupt_view()))?;
+            let mut paths = view.converged.clone();
+            let mut b = view.req.subsidy.clone();
+            crate::session::apply_delta(op, &mut game, &mut paths, &mut b).map_err(fail)?;
+            let synth = synth_dynamics(&view.req.id, game, paths, b, &view.req);
+            let (payload, state) = self.dynamics_full(&synth, &unlimited).map_err(fail)?;
+            view = crate::session::View {
                 converged: crate::session::state_paths(&state),
+                req: synth,
+                payload,
             };
-            for (i, &op) in journal.iter().enumerate() {
-                let last = i + 1 == journal.len();
-                let fail = |err| ReplayError::Step { last, err };
-                let mut game = view.req.game.clone().ok_or_else(|| fail(corrupt_view()))?;
-                let mut paths = view.converged.clone();
-                let mut b = view.req.subsidy.clone();
-                crate::session::apply_delta(op, &mut game, &mut paths, &mut b).map_err(fail)?;
-                let synth = synth_dynamics(&base.id, game, paths, b, &view.req);
-                let (payload, state) = self.dynamics_full(&synth, &unlimited).map_err(fail)?;
-                view = crate::session::View {
-                    converged: crate::session::state_paths(&state),
-                    req: synth,
-                    payload,
-                };
-            }
-            Ok(view)
-        }));
-        replayed.unwrap_or(Err(ReplayError::Panicked))
+        }
+        Ok(view)
     }
 
     /// Rebuild a dirty session's committed view from its journal
     /// (poisoned-lock recovery).
     fn recover(&self, s: &mut crate::session::Session) -> Result<(), WireError> {
-        match self.replay_journal(&s.base, &s.journal) {
+        match self.replay_journal(s) {
             Ok(view) => {
                 s.view = view;
                 s.dirty = false;
@@ -2122,6 +2183,75 @@ mod tests {
         }
         let snap = r.sessions().snapshot();
         assert_eq!((snap.audits, snap.audits_failed), (2, 0), "{snap:?}");
+    }
+
+    #[test]
+    fn session_replays_run_only_the_ops_since_the_last_replay() {
+        // With audits off the checkpoint stays at the base until the first
+        // replay: a resync at epoch N re-solves N ops, and an immediate
+        // second resync starts from the first one's output (0 ops).
+        let mut r = Router::new(Executor::sequential(), 64);
+        r.set_session_config(crate::session::SessionConfig {
+            audit_every: 0,
+            max_sessions: 8,
+        });
+        let open = r.handle_line(&format!(
+            "ndg1;id=o;method=open;tree={};game={}",
+            tree_ids(6),
+            cycle_game_spec(6)
+        ));
+        let sid = header(&open, "session").unwrap();
+        for epoch in 0..5u64 {
+            let w = 0.5 + epoch as f64;
+            let resp = r.handle_line(&format!(
+                "ndg1;id=d{epoch};method=delta;session={sid};epoch={epoch};delta=patch;edge={epoch};w={w}"
+            ));
+            assert!(resp.starts_with(&format!("ok;id=d{epoch};")), "{resp}");
+        }
+        assert_eq!(r.sessions().snapshot().replay_steps, 0);
+        let first = r.handle_line(&format!("ndg1;id=r1;method=resync;session={sid}"));
+        assert_eq!(r.sessions().snapshot().replay_steps, 5);
+        let second = r.handle_line(&format!("ndg1;id=r2;method=resync;session={sid}"));
+        assert_eq!(r.sessions().snapshot().replay_steps, 5);
+        assert_eq!(payload_of(&first), payload_of(&second));
+        // One more delta, then a resync replays just that op.
+        r.handle_line(&format!(
+            "ndg1;id=d5;method=delta;session={sid};epoch=5;delta=fail;edge=0"
+        ));
+        r.handle_line(&format!("ndg1;id=r3;method=resync;session={sid}"));
+        let snap = r.sessions().snapshot();
+        assert_eq!((snap.replay_steps, snap.resyncs), (6, 3), "{snap:?}");
+        let stats = r.handle_line("ndg1;id=s;method=stats");
+        assert!(stats.contains(";replay_steps=6;"), "{stats}");
+    }
+
+    #[test]
+    fn session_lines_in_one_batch_take_effect_in_request_order() {
+        // A delta and a close on one session, pipelined into one batch on
+        // a parallel executor around a stateless solve: the delta must
+        // commit before the close retires the session, every time.
+        let r = Router::new(Executor::new(2), 64);
+        for k in 0..2000 {
+            let open = r.handle_line(&format!(
+                "ndg1;id=o{k};method=open;tree={};game={}",
+                tree_ids(4),
+                cycle_game_spec(4)
+            ));
+            let sid = header(&open, "session").unwrap();
+            let batch = [
+                format!("ndg1;id=d{k};method=delta;session={sid};epoch=0;delta=patch;edge=3;w=0.5"),
+                format!("ndg1;id=q{k};method=stats"),
+                format!("ndg1;id=c{k};method=close;session={sid}"),
+            ];
+            let out = r.handle_batch(&batch);
+            assert!(
+                out[0].starts_with(&format!("ok;id=d{k};session={sid};epoch=1;")),
+                "{}",
+                out[0]
+            );
+            assert!(out[1].starts_with(&format!("ok;id=q{k};")), "{}", out[1]);
+            assert!(out[2].ends_with("closed=1;deltas=1"), "{}", out[2]);
+        }
     }
 
     #[test]

@@ -17,10 +17,22 @@
 //! *before* it is applied; deltas are applied to clones and committed as
 //! one whole `View`, so any fault — an injected panic mid-delta, a
 //! poisoned session lock, a failed divergence audit — degrades by
-//! discarding the incremental view and replaying the journal from the
-//! base, which reconstructs the exact committed answer (replay repeats
-//! the same deterministic apply + solve sequence). Recovered responses
-//! carry `resynced=1` in the volatile header, never in the payload.
+//! discarding the incremental view and replaying the journal, which
+//! reconstructs the exact committed answer (replay repeats the same
+//! deterministic apply + solve sequence). Recovered responses carry
+//! `resynced=1` in the volatile header, never in the payload.
+//!
+//! Replay is **checkpointed**: each session keeps the newest *replayed*
+//! view and its epoch (at `open`, the solved base at epoch 0), and a
+//! replay folds only `journal[checkpoint.epoch..]` onto it, then becomes
+//! the new checkpoint. Only replay outputs ever become checkpoints —
+//! never the warm view — so the chain back to the base is cold all the
+//! way and a replay is the same fold a full replay from the base would
+//! run. The checkpoint cadence is the audit cadence: at `--audit-every
+//! N` no replay runs more than `N` ops; with audits off, the first
+//! replay runs every op since the previous one. Debug builds re-run
+//! every replay from the base over the full journal and assert the two
+//! agree.
 //!
 //! Admission is bounded: at most `--max-sessions` live sessions, with
 //! least-recently-used idle eviction. Evicted and closed ids answer
@@ -46,6 +58,8 @@ static DIVERGENCE_AUDITS: ndg_obs::Counter = ndg_obs::Counter::new("serve_diverg
 /// Audits whose cold replay disagreed with the warm view.
 static DIVERGENCE_AUDITS_FAILED: ndg_obs::Counter =
     ndg_obs::Counter::new("serve_divergence_audits_failed");
+/// Journal ops re-applied and re-solved by replays (the recovery work).
+static REPLAY_STEPS: ndg_obs::Counter = ndg_obs::Counter::new("serve_session_replay_steps");
 
 /// Retired-id memory bound: the FIFO of closed/evicted session ids kept
 /// for `session_expired` diagnostics.
@@ -84,22 +98,52 @@ pub(crate) struct View {
     pub converged: Vec<Vec<EdgeId>>,
 }
 
-/// One live session: pinned base + write-ahead journal + committed view.
+/// One live session: pinned base, write-ahead journal, committed view
+/// and replay checkpoint.
 #[derive(Debug)]
 pub(crate) struct Session {
     /// The pinned base request (the `open` instance, as a literal
-    /// `dynamics` request) — journal replay starts here.
+    /// `dynamics` request) — the cold chain every checkpoint folds from;
+    /// debug builds re-run it to cross-check each replay.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub base: Request,
     /// Applied-delta log; `epoch == journal.len()`.
     pub journal: Vec<DeltaOp>,
     /// The committed incremental view.
     pub view: View,
+    /// The newest replayed view; journal replay starts here.
+    pub checkpoint: Checkpoint,
     /// Set when a fault may have left `view` unworthy of trust (poisoned
     /// lock); the next operation replays the journal before serving.
     pub dirty: bool,
 }
 
+/// A replayed view and the epoch it answers: `journal[..epoch]` folded
+/// cold onto the solved base.
+#[derive(Debug)]
+pub(crate) struct Checkpoint {
+    /// Journal prefix length the view answers.
+    pub epoch: usize,
+    /// The replayed view.
+    pub view: View,
+}
+
 impl Session {
+    /// A fresh session at epoch 0: `view` is the solved `base`, and also
+    /// its first checkpoint.
+    pub fn new(base: Request, view: View) -> Self {
+        Session {
+            base,
+            journal: Vec::new(),
+            checkpoint: Checkpoint {
+                epoch: 0,
+                view: view.clone(),
+            },
+            view,
+            dirty: false,
+        }
+    }
+
     /// The session's current epoch (applied-delta count).
     pub fn epoch(&self) -> u64 {
         self.journal.len() as u64
@@ -129,6 +173,8 @@ pub struct SessionCounters {
     pub audits: AtomicU64,
     /// Divergence audits that found a byte mismatch.
     pub audits_failed: AtomicU64,
+    /// Journal ops re-applied and re-solved by replays.
+    pub replay_steps: AtomicU64,
 }
 
 /// A [`SessionCounters`] snapshot (one relaxed load per field).
@@ -148,6 +194,8 @@ pub struct SessionCountersSnapshot {
     pub audits: u64,
     /// Divergence audits that found a byte mismatch.
     pub audits_failed: u64,
+    /// Journal ops re-applied and re-solved by replays.
+    pub replay_steps: u64,
 }
 
 struct Slot {
@@ -289,9 +337,10 @@ impl SessionTable {
     }
 
     /// Total journal length across live sessions: the `stats`
-    /// `sessions_journal_ops` gauge — what a full resync replay of every
-    /// open session would cost. Lock order is table → session, the same
-    /// direction as every other path (never reversed).
+    /// `sessions_journal_ops` gauge — the journal memory held, not the
+    /// replay cost (a replay runs only the ops since its session's
+    /// checkpoint; `replay_steps` counts those). Lock order is table →
+    /// session, the same direction as every other path (never reversed).
     pub fn journal_ops(&self) -> u64 {
         let inner = self.lock();
         inner
@@ -318,6 +367,7 @@ impl SessionTable {
             resyncs: c.resyncs.load(Ordering::Relaxed),
             audits: c.audits.load(Ordering::Relaxed),
             audits_failed: c.audits_failed.load(Ordering::Relaxed),
+            replay_steps: c.replay_steps.load(Ordering::Relaxed),
         }
     }
 
@@ -331,6 +381,15 @@ impl SessionTable {
     pub(crate) fn note_resync(&self) {
         self.counters.resyncs.fetch_add(1, Ordering::Relaxed);
         SESSION_RESYNCS.inc();
+    }
+
+    /// Count `steps` journal ops replayed.
+    pub(crate) fn note_replay_steps(&self, steps: usize) {
+        self.counters
+            .replay_steps
+            .fetch_add(steps as u64, Ordering::Relaxed);
+        // `add(0)` registers the metric, like the failed-audit counter.
+        REPLAY_STEPS.add(steps as u64);
     }
 
     /// Count one divergence audit (`failed` when the cold replay
@@ -504,16 +563,14 @@ mod tests {
         });
         req.tree = Some(vec![EdgeId(0), EdgeId(1)]);
         req.canon = false;
-        Session {
-            base: req.clone(),
-            journal: Vec::new(),
-            view: View {
+        Session::new(
+            req.clone(),
+            View {
                 req,
                 payload: "p".into(),
                 converged: vec![vec![EdgeId(0)], vec![EdgeId(0), EdgeId(1)]],
             },
-            dirty: false,
-        }
+        )
     }
 
     #[test]

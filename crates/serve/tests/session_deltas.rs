@@ -16,6 +16,12 @@
 //! joins on broadcast games) must answer structured errors with the epoch
 //! unchanged, and the next valid delta must continue as if they never
 //! happened (write-ahead rollback).
+//!
+//! Each session draws its audit cadence from {0, 1, 3, 8} and issues
+//! client `resync`s at random epochs (some of them panicking, which
+//! leaves the session for the next op to recover), so replay checkpoints
+//! advance at irregular epochs. Replay work is bounded by that cadence:
+//! at `audit_every=8` no request replays more than 8 journal ops.
 
 use ndg_exec::Executor;
 use ndg_serve::{payload_of, Router, SessionConfig};
@@ -76,7 +82,7 @@ fn drive_session(rng: &mut StdRng, wide: bool, faults: bool) {
     };
     let mut router = Router::with_canon(ex, 64, true);
     router.set_session_config(SessionConfig {
-        audit_every: 4,
+        audit_every: [0, 1, 3, 8][rng.random_range(0..4usize)],
         max_sessions: 8,
     });
     if faults {
@@ -110,8 +116,30 @@ fn drive_session(rng: &mut StdRng, wide: bool, faults: bool) {
     assert_cold(&router, &open, "open");
 
     let mut epoch = 0u64;
+    // A panicked resync leaves the session dirty: the next op recovers.
+    let mut dirty = false;
     let deltas = rng.random_range(1..=64usize);
     for k in 0..deltas {
+        if rng.random_bool(0.15) {
+            let boom = faults && rng.random_bool(0.3);
+            let id = if boom {
+                format!("boomrs{k}")
+            } else {
+                format!("rs{k}")
+            };
+            let rs = router.handle_line(&format!("ndg1;id={id};method=resync;session={sid}"));
+            if boom {
+                assert!(
+                    rs.starts_with(&format!("err;id={id};code=internal;")),
+                    "{rs}"
+                );
+                dirty = true;
+            } else {
+                assert!(rs.contains(&format!(";epoch={epoch};resynced=1;")), "{rs}");
+                assert_cold(&router, &rs, &format!("resync before delta {k}"));
+                dirty = false;
+            }
+        }
         let op = match rng.random_range(0..10u32) {
             // Disconnecting fails and joins on broadcast games answer
             // structured errors — also part of the property (rollback).
@@ -146,12 +174,13 @@ fn drive_session(rng: &mut StdRng, wide: bool, faults: bool) {
                 .find_map(|f| f.strip_prefix("epoch="))
                 .expect("session ok carries epoch");
             assert_eq!(got_epoch, epoch.to_string(), "{resp}");
-            if boom {
+            if boom || dirty {
                 assert!(
                     resp.contains(";resynced=1;") || resp.contains(";resynced=1"),
-                    "panicked delta {id} not flagged resynced: {resp}"
+                    "recovered delta {id} not flagged resynced: {resp}"
                 );
             }
+            dirty = false;
             assert_cold(&router, &resp, &format!("delta {k} (epoch {epoch})"));
         } else {
             // Structured rejection: epoch unchanged, journal rolled back,
@@ -160,6 +189,7 @@ fn drive_session(rng: &mut StdRng, wide: bool, faults: bool) {
             let rs = router.handle_line(&format!("ndg1;id=r{k};method=resync;session={sid}"));
             assert!(rs.contains(&format!(";epoch={epoch};")), "{rs}");
             assert_cold(&router, &rs, &format!("resync after rejected delta {k}"));
+            dirty = false;
         }
     }
     let close = router.handle_line(&format!("ndg1;id=c;method=close;session={sid}"));
@@ -183,4 +213,54 @@ fn random_delta_sequences_match_cold_solves_under_injected_panics() {
     for case in 0..6 {
         drive_session(&mut rng, case % 2 == 1, true);
     }
+}
+
+#[test]
+fn replays_never_run_more_ops_than_the_audit_cadence() {
+    // A 300-delta session at the default cadence, with client resyncs at
+    // random epochs and injected panics on deltas and resyncs: every
+    // replay starts from the newest replayed view, so no request replays
+    // more than `audit_every` journal ops.
+    let mut rng = StdRng::seed_from_u64(0x9E18);
+    let mut router = Router::with_canon(Executor::sequential(), 64, true);
+    router.set_session_config(SessionConfig {
+        audit_every: 8,
+        max_sessions: 8,
+    });
+    router.set_fault_hook(Some(Arc::new(|req: &ndg_serve::Request| {
+        if req.id.starts_with("boom") {
+            panic!("replay-bound injected fault (id={})", req.id);
+        }
+    })));
+    let (game, tree, _n, m, _general) = random_base(&mut rng);
+    let open = router.handle_line(&format!("ndg1;id=o;method=open;tree={tree};game={game}"));
+    let sid = open
+        .split(';')
+        .find_map(|f| f.strip_prefix("session="))
+        .expect("open response carries a session id")
+        .to_string();
+    let mut steps = router.sessions().snapshot().replay_steps;
+    let mut check = |router: &Router, what: &str| {
+        let now = router.sessions().snapshot().replay_steps;
+        assert!(now - steps <= 8, "{what} replayed {} ops", now - steps);
+        steps = now;
+    };
+    for epoch in 0..300u64 {
+        if rng.random_bool(0.1) {
+            let id = if rng.random_bool(0.3) { "boomrs" } else { "rs" };
+            router.handle_line(&format!("ndg1;id={id}{epoch};method=resync;session={sid}"));
+            check(&router, &format!("resync at epoch {epoch}"));
+        }
+        let id = if rng.random_bool(0.1) { "boom" } else { "d" };
+        let resp = router.handle_line(&format!(
+            "ndg1;id={id}{epoch};method=delta;session={sid};epoch={epoch};delta=patch;edge={};w={}",
+            rng.random_range(0..m),
+            rng.random_range(1..=8u32) as f64 / 4.0
+        ));
+        assert!(resp.starts_with(&format!("ok;id={id}{epoch};")), "{resp}");
+        check(&router, &format!("delta to epoch {}", epoch + 1));
+    }
+    let snap = router.sessions().snapshot();
+    assert_eq!(snap.deltas, 300, "{snap:?}");
+    assert!(snap.replay_steps > 300 / 8, "{snap:?}");
 }
