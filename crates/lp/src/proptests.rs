@@ -2,9 +2,9 @@
 
 #![cfg(test)]
 
-use crate::problem::LinearProgram;
-use crate::simplex::solve;
-use crate::solution::LpStatus;
+use crate::problem::{LinearProgram, Row, RowOp};
+use crate::simplex::{dense, solve};
+use crate::solution::{LpSolution, LpStatus};
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -117,4 +117,119 @@ proptest! {
         prop_assert_eq!(s2.status, LpStatus::Optimal);
         prop_assert!((s1.objective * lambda - s2.objective).abs() < 1e-6);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The condensed kernel against the dense reference on random LPs
+    /// that mix `≤/≥/=` rows, duplicate coefficients, negative lower
+    /// bounds, finite and infinite upper bounds, degenerate (zero-rhs)
+    /// and redundant rows: same status, same pivot count, and `x` and
+    /// the objective equal bit for bit. Planted contradictions must come
+    /// out infeasible, and a free improving ray unbounded.
+    #[test]
+    fn condensed_kernel_matches_dense_reference(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (lp, expect) = random_lp(&mut rng);
+        let got = solve(&lp).unwrap();
+        let want = dense::solve(&lp).unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
+        match expect {
+            Some(status) => prop_assert_eq!(got.status, status),
+            // Feasible by the witness, bounded by the costs.
+            None => prop_assert_eq!(got.status, LpStatus::Optimal),
+        }
+        if got.status == LpStatus::Optimal {
+            prop_assert!(got.verify(&lp, 1e-6));
+        }
+    }
+}
+
+/// Status, `x` and objective bits, and the pivot count.
+fn bits(s: &LpSolution) -> (LpStatus, Vec<u64>, u64, u64) {
+    let x = s.x.iter().map(|v| v.to_bits()).collect();
+    (s.status, x, s.objective.to_bits(), s.pivots)
+}
+
+/// A random LP satisfied by a hidden witness point, with a planted
+/// contradiction or unbounded ray in some cases. Returns the LP and the
+/// status it must have when one was planted (`None`: optimal).
+fn random_lp(rng: &mut StdRng) -> (LinearProgram, Option<LpStatus>) {
+    let mut lp = LinearProgram::new();
+    let nv = rng.random_range(1..7usize);
+    let mut witness = Vec::with_capacity(nv);
+    for _ in 0..nv {
+        let lo = if rng.random_bool(0.3) {
+            rng.random_range(-3.0..0.0)
+        } else {
+            0.0
+        };
+        let hi = if rng.random_bool(0.5) {
+            lo + rng.random_range(0.0..4.0)
+        } else {
+            f64::INFINITY
+        };
+        let span = if hi.is_finite() { hi - lo } else { 3.0 };
+        witness.push(lo + span * rng.random_range(0.0..1.0));
+        // Small integer costs make ties in pricing and ratio tests common.
+        let c = if rng.random_bool(0.5) {
+            rng.random_range(-2..3) as f64
+        } else {
+            rng.random_range(-2.0..2.0)
+        };
+        // Unbounded variables get a cost that cannot run to −∞ unless
+        // a ray is planted below.
+        lp.add_var(if hi.is_finite() { c } else { c.abs() }, lo, hi)
+            .unwrap();
+    }
+    let mut rows: Vec<Row> = Vec::new();
+    for _ in 0..rng.random_range(0..9usize) {
+        let coeffs: Vec<(usize, f64)> = (0..rng.random_range(1..5usize))
+            .map(|_| {
+                let a = if rng.random_bool(0.5) {
+                    rng.random_range(-2..3) as f64
+                } else {
+                    rng.random_range(-2.0..2.0)
+                };
+                (rng.random_range(0..nv), a) // indices may repeat
+            })
+            .collect();
+        let at_witness: f64 = coeffs.iter().map(|&(j, a)| a * witness[j]).sum();
+        let slack = if rng.random_bool(0.4) {
+            0.0
+        } else {
+            rng.random_range(0.0..2.0)
+        };
+        let (op, rhs) = match rng.random_range(0..3) {
+            0 => (RowOp::Le, at_witness + slack),
+            1 => (RowOp::Ge, at_witness - slack),
+            _ => (RowOp::Eq, at_witness),
+        };
+        rows.push(Row::new(coeffs, op, rhs));
+        if rng.random_bool(0.2) {
+            rows.push(rows[rows.len() - 1].clone()); // redundant copy
+        }
+    }
+    let mut expect = None;
+    match rng.random_range(0..6) {
+        0 if !rows.is_empty() => {
+            // Contradiction: the same left-hand side ≤ r and ≥ r + 1.
+            let row = rows[rng.random_range(0..rows.len())].clone();
+            let r = rng.random_range(-3.0..3.0);
+            rows.push(Row::new(row.coeffs.clone(), RowOp::Le, r));
+            rows.push(Row::new(row.coeffs, RowOp::Ge, r + 1.0));
+            expect = Some(LpStatus::Infeasible);
+        }
+        1 => {
+            // A fresh unbounded variable that no row mentions.
+            lp.add_var(-1.0, 0.0, f64::INFINITY).unwrap();
+            expect = Some(LpStatus::Unbounded);
+        }
+        _ => {}
+    }
+    for row in rows {
+        lp.add_row(row).unwrap();
+    }
+    (lp, expect)
 }

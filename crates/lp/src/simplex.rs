@@ -1,17 +1,45 @@
-//! Two-phase primal simplex on a dense tableau.
+//! Two-phase primal simplex on a condensed tableau.
 //!
-//! Scope: the subsidy LPs have at most a few thousand rows/columns, so a
-//! dense tableau with Dantzig pricing (Bland's rule fallback for
-//! anti-cycling) is both simple and ample. The paper invokes the ellipsoid
-//! method purely as a polynomiality certificate; any exact LP oracle yields
-//! the identical optima, so simplex stands in for it here.
+//! The paper invokes the ellipsoid method purely as a polynomiality
+//! certificate; any exact LP oracle yields the identical optima, so
+//! simplex stands in for it here. Model handled: minimize `cᵀx`, rows
+//! `≤ / ≥ / =`, box bounds `lo ≤ x ≤ hi`. Bounds are normalized by
+//! shifting to `y = x − lo ≥ 0`; finite upper bounds become explicit rows.
+//! Pricing is Dantzig's rule with a Bland's-rule fallback for
+//! anti-cycling; the ratio test breaks ties toward the smaller basic
+//! variable.
 //!
-//! Model handled: minimize `cᵀx`, rows `≤ / ≥ / =`, box bounds
-//! `lo ≤ x ≤ hi`. Bounds are normalized by shifting to `y = x − lo ≥ 0`;
-//! finite upper bounds become explicit rows.
+//! **Condensed tableau.** In a dense tableau over the columns
+//! `[structural | slack | artificial | rhs]`, every basic column is an
+//! exact unit vector, cost rows included: the pivot writes `1.0` on the
+//! pivot row and `0.0` everywhere else, and eliminating a row never
+//! touches another basic column (it subtracts `factor · 0`). So only the
+//! nonbasic columns and the rhs are stored, one *slot* each; `cols`
+//! maps a slot to its original column, and `basis` maps a row to its
+//! basic column. On a pivot the leaving variable takes the entering
+//! variable's slot, with the values its unit column turns into.
+//!
+//! **Sparse pivot.** The pivot row is normalized, then only its nonzero
+//! slots are eliminated, and only from the rows whose entering-column
+//! entry is nonzero (the ratio test collects them as it reads the
+//! column). Skipped terms are `x − f·0` or `x − 0·p`, which leave `x`
+//! unchanged.
+//!
+//! **Bit-identity contract.** Every stored value is computed by the same
+//! floating-point operations in the same order as on the dense tableau,
+//! pricing picks the same column (basic columns price at exactly zero,
+//! so skipping them changes nothing) and the ratio test the same row.
+//! The pivot sequence, `x` and the objective are therefore bit-identical
+//! to the dense kernel's. The only difference is the sign of some exact
+//! zeros, which no comparison reads and the extraction `lo + max(y, 0)`
+//! erases (for any lower bound but `-0.0`). Debug builds check this on
+//! every solve against the dense kernel kept in `simplex/dense.rs`.
 
 use crate::problem::{LinearProgram, LpError, RowOp};
 use crate::solution::{LpSolution, LpStatus};
+
+#[cfg(any(test, debug_assertions))]
+pub(crate) mod dense;
 
 /// Pivot tolerance.
 const PIVOT_EPS: f64 = 1e-9;
@@ -21,285 +49,367 @@ const COST_EPS: f64 = 1e-9;
 const FEAS_EPS: f64 = 1e-7;
 /// Iterations of Dantzig pricing before switching to Bland's rule.
 const DANTZIG_LIMIT_FACTOR: usize = 20;
+/// Entering-column entries at most this large are treated as zero by the
+/// elimination.
+const ELIM_EPS: f64 = 1e-14;
+
+/// Profiling counter (a no-op until `ndg_obs::install`): simplex pivots,
+/// flushed once per solve from the exact [`LpSolution::pivots`].
+static LP_SIMPLEX_PIVOTS: ndg_obs::Counter = ndg_obs::Counter::new("lp_simplex_pivots_total");
 
 /// Solve `lp` with the two-phase simplex.
 pub fn solve(lp: &LinearProgram) -> Result<LpSolution, LpError> {
-    let n_struct = lp.num_vars();
-    if n_struct == 0 {
-        return Ok(LpSolution {
-            status: LpStatus::Optimal,
-            x: Vec::new(),
-            objective: 0.0,
-        });
-    }
-
-    // Normalized rows over shifted variables y = x − lo:
-    //   (dense coeffs, op, rhs), rhs made ≥ 0 by row negation.
-    let lo = lp.lower_bounds();
-    let hi = lp.upper_bounds();
-    let mut norm_rows: Vec<(Vec<f64>, RowOp, f64)> = Vec::new();
-    for row in lp.rows() {
-        let mut dense = vec![0.0; n_struct];
-        let mut shift = 0.0;
-        for &(j, a) in &row.coeffs {
-            dense[j] += a;
-            shift += a * lo[j];
-        }
-        norm_rows.push((dense, row.op, row.rhs - shift));
-    }
-    for j in 0..n_struct {
-        if hi[j].is_finite() {
-            let mut dense = vec![0.0; n_struct];
-            dense[j] = 1.0;
-            norm_rows.push((dense, RowOp::Le, hi[j] - lo[j]));
-        }
-    }
-    for (dense, op, rhs) in norm_rows.iter_mut() {
-        if *rhs < 0.0 {
-            for a in dense.iter_mut() {
-                *a = -*a;
-            }
-            *rhs = -*rhs;
-            *op = match *op {
-                RowOp::Le => RowOp::Ge,
-                RowOp::Ge => RowOp::Le,
-                RowOp::Eq => RowOp::Eq,
-            };
-        }
-    }
-
-    let m = norm_rows.len();
-    // Column layout: [structural | slack/surplus | artificial].
-    let n_slack = norm_rows
-        .iter()
-        .filter(|(_, op, _)| *op != RowOp::Eq)
-        .count();
-    // Artificials: for ≥ and = rows. For ≤ rows the slack is the initial basis.
-    let n_art = norm_rows
-        .iter()
-        .filter(|(_, op, _)| *op != RowOp::Le)
-        .count();
-    let n_total = n_struct + n_slack + n_art;
-    let width = n_total + 1; // + rhs column
-
-    // Tableau rows 0..m are constraints; row m is the phase-II cost row;
-    // row m+1 is the phase-I cost row.
-    let mut t = vec![0.0f64; (m + 2) * width];
-    let idx = |r: usize, c: usize| r * width + c;
-    let mut basis = vec![usize::MAX; m];
-    let mut is_artificial = vec![false; n_total];
-
-    let mut next_slack = n_struct;
-    let mut next_art = n_struct + n_slack;
-    for (r, (dense, op, rhs)) in norm_rows.iter().enumerate() {
-        for (j, &a) in dense.iter().enumerate() {
-            t[idx(r, j)] = a;
-        }
-        t[idx(r, n_total)] = *rhs;
-        match op {
-            RowOp::Le => {
-                t[idx(r, next_slack)] = 1.0;
-                basis[r] = next_slack;
-                next_slack += 1;
-            }
-            RowOp::Ge => {
-                t[idx(r, next_slack)] = -1.0;
-                next_slack += 1;
-                t[idx(r, next_art)] = 1.0;
-                is_artificial[next_art] = true;
-                basis[r] = next_art;
-                next_art += 1;
-            }
-            RowOp::Eq => {
-                t[idx(r, next_art)] = 1.0;
-                is_artificial[next_art] = true;
-                basis[r] = next_art;
-                next_art += 1;
-            }
-        }
-    }
-
-    // Phase-II cost row: original objective on shifted variables
-    // (the constant cᵀ·lo is added back at extraction).
-    for (j, &c) in lp.objective().iter().enumerate() {
-        t[idx(m, j)] = c;
-    }
-    // Phase-I cost row: sum of artificials, then eliminate basic artificials.
-    for j in 0..n_total {
-        if is_artificial[j] {
-            t[idx(m + 1, j)] = 1.0;
-        }
-    }
-    for r in 0..m {
-        if is_artificial[basis[r]] {
-            for c in 0..width {
-                t[idx(m + 1, c)] -= t[idx(r, c)];
-            }
-        }
-    }
-
-    let max_iters = 200 * (m + n_total) + 2000;
-    let dantzig_limit = DANTZIG_LIMIT_FACTOR * (m + n_total) + 200;
-
-    // ---- Phase I ----
-    if n_art > 0 {
-        run_phase(
-            &mut t,
-            &mut basis,
-            m,
-            n_total,
-            width,
-            m + 1,
-            &|_j| true,
-            max_iters,
-            dantzig_limit,
-        )?;
-        let phase1_obj = -t[idx(m + 1, n_total)];
-        if phase1_obj > FEAS_EPS {
-            return Ok(LpSolution {
-                status: LpStatus::Infeasible,
-                x: Vec::new(),
-                objective: f64::NAN,
-            });
-        }
-        // Drive remaining artificials out of the basis where possible.
-        for r in 0..m {
-            if is_artificial[basis[r]] {
-                let mut pivoted = false;
-                for j in 0..n_total {
-                    if !is_artificial[j] && t[idx(r, j)].abs() > PIVOT_EPS {
-                        pivot(&mut t, &mut basis, m, width, r, j);
-                        pivoted = true;
-                        break;
-                    }
-                }
-                // If no pivot exists the row is redundant; the artificial
-                // stays basic at value ~0, which is harmless.
-                let _ = pivoted;
-            }
-        }
-    }
-
-    // ---- Phase II ----
-    let allowed = |j: usize| !is_artificial[j];
-    let unbounded = run_phase(
-        &mut t,
-        &mut basis,
-        m,
-        n_total,
-        width,
-        m,
-        &allowed,
-        max_iters,
-        dantzig_limit,
-    )?;
-    if unbounded {
-        return Ok(LpSolution {
-            status: LpStatus::Unbounded,
-            x: Vec::new(),
-            objective: f64::NEG_INFINITY,
-        });
-    }
-
-    // Extract shifted solution, then unshift.
-    let mut y = vec![0.0f64; n_total];
-    for r in 0..m {
-        y[basis[r]] = t[idx(r, n_total)];
-    }
-    let x: Vec<f64> = (0..n_struct).map(|j| lo[j] + y[j].max(0.0)).collect();
-    let objective = lp.objective_at(&x);
-    Ok(LpSolution {
-        status: LpStatus::Optimal,
-        x,
-        objective,
-    })
+    let mut tab = Tableau::build(lp);
+    let out = tab.solve(lp);
+    LP_SIMPLEX_PIVOTS.add(tab.pivots);
+    #[cfg(debug_assertions)]
+    assert_same_as_dense(lp, &out);
+    out
 }
 
-/// Run simplex iterations minimizing the cost row `cost_r`. Returns
-/// `Ok(true)` if unbounded, `Ok(false)` at optimality.
-#[allow(clippy::too_many_arguments)]
-fn run_phase(
-    t: &mut [f64],
-    basis: &mut [usize],
+/// Debug-build cross-check: the dense kernel must agree on the status,
+/// the bits of `x` and the objective, and the pivot count.
+#[cfg(debug_assertions)]
+fn assert_same_as_dense(lp: &LinearProgram, got: &Result<LpSolution, LpError>) {
+    let bits = |s: &LpSolution| {
+        let x: Vec<u64> = s.x.iter().map(|v| v.to_bits()).collect();
+        (s.status, x, s.objective.to_bits(), s.pivots)
+    };
+    match (got, &dense::solve(lp)) {
+        (Ok(got), Ok(want)) => assert_eq!(bits(got), bits(want), "condensed vs dense simplex"),
+        (got, want) => assert_eq!(
+            got.as_ref().err(),
+            want.as_ref().err(),
+            "condensed vs dense simplex"
+        ),
+    }
+}
+
+/// The condensed tableau: constraint rows `0..m`, the phase-II cost row
+/// `m` and the phase-I cost row `m + 1`, each `w` wide (the nonbasic
+/// slots, then the rhs).
+struct Tableau {
     m: usize,
+    w: usize,
+    t: Vec<f64>,
+    /// Slot → original column. Originals are laid out as `[structural |
+    /// slack/surplus | artificial]`.
+    cols: Vec<usize>,
+    /// Row → original column of its basic variable.
+    basis: Vec<usize>,
+    n_struct: usize,
+    /// First artificial original column (artificials are the tail).
+    art_start: usize,
+    /// Original column count, for the iteration limits.
     n_total: usize,
-    width: usize,
-    cost_r: usize,
-    allowed: &dyn Fn(usize) -> bool,
-    max_iters: usize,
-    dantzig_limit: usize,
-) -> Result<bool, LpError> {
-    let idx = |r: usize, c: usize| r * width + c;
-    for iter in 0..max_iters {
-        // Entering column.
-        let bland = iter >= dantzig_limit;
-        let mut enter: Option<usize> = None;
-        let mut best = -COST_EPS;
-        for j in 0..n_total {
-            if !allowed(j) {
-                continue;
-            }
-            let rc = t[idx(cost_r, j)];
-            if rc < best {
-                enter = Some(j);
-                if bland {
-                    break; // Bland: first improving index
-                }
+    pivots: u64,
+    /// Scratch: rows with a nonzero entering-column entry.
+    nz_rows: Vec<usize>,
+    /// Scratch: the normalized pivot row's nonzero slots and values.
+    prow: Vec<(usize, f64)>,
+}
+
+/// The entering slot: the one whose original column the dense kernel's
+/// ascending scan over `0..limit` would pick. Slots are not in
+/// original-column order, so ties go to the lower original column
+/// explicitly: Dantzig takes the lowest column of minimal reduced cost,
+/// Bland the lowest improving column. `None` at optimality.
+fn entering(cost: &[f64], cols: &[usize], limit: usize, bland: bool) -> Option<usize> {
+    let mut enter = None;
+    let mut best = -COST_EPS;
+    let mut best_col = usize::MAX;
+    for (s, (&rc, &j)) in cost.iter().zip(cols).enumerate() {
+        if j >= limit || rc > best {
+            continue;
+        }
+        let takes = if bland {
+            rc < -COST_EPS && j < best_col
+        } else {
+            rc < best || (enter.is_some() && j < best_col)
+        };
+        if takes {
+            enter = Some(s);
+            best_col = j;
+            if !bland {
                 best = rc;
             }
         }
-        let Some(enter) = enter else {
-            return Ok(false); // optimal
+    }
+    enter
+}
+
+impl Tableau {
+    /// Write the normalized rows straight into the tableau. Every
+    /// slack of a `≤` row and every artificial starts basic, so the
+    /// initial slots are the structurals, then the surpluses of the `≥`
+    /// rows in row order.
+    fn build(lp: &LinearProgram) -> Tableau {
+        let n_struct = lp.num_vars();
+        let lo = lp.lower_bounds();
+        let hi = lp.upper_bounds();
+        // Shifted rhs made ≥ 0, whether the row is negated for it, and
+        // its sense after that.
+        let flip = |op: RowOp| match op {
+            RowOp::Le => RowOp::Ge,
+            RowOp::Ge => RowOp::Le,
+            RowOp::Eq => RowOp::Eq,
         };
-        // Ratio test.
-        let mut leave: Option<usize> = None;
-        let mut best_ratio = f64::INFINITY;
-        for r in 0..m {
-            let a = t[idx(r, enter)];
-            if a > PIVOT_EPS {
-                let ratio = t[idx(r, n_total)] / a;
-                let better = ratio < best_ratio - 1e-12
-                    || (ratio < best_ratio + 1e-12 && leave.is_some_and(|l| basis[r] < basis[l]));
-                if better {
-                    best_ratio = ratio;
-                    leave = Some(r);
+        let mut plan: Vec<(f64, bool, RowOp)> = lp
+            .rows()
+            .iter()
+            .map(|row| {
+                let mut shift = 0.0;
+                for &(j, a) in &row.coeffs {
+                    shift += a * lo[j];
+                }
+                let rhs = row.rhs - shift;
+                if rhs < 0.0 {
+                    (-rhs, true, flip(row.op))
+                } else {
+                    (rhs, false, row.op)
+                }
+            })
+            .collect();
+        let bounded: Vec<usize> = (0..n_struct).filter(|&j| hi[j].is_finite()).collect();
+        plan.extend(bounded.iter().map(|&j| (hi[j] - lo[j], false, RowOp::Le)));
+
+        let m = plan.len();
+        let count = |op: RowOp| plan.iter().filter(|p| p.2 == op).count();
+        let (n_le, n_ge, n_eq) = (count(RowOp::Le), count(RowOp::Ge), count(RowOp::Eq));
+        let art_start = n_struct + n_le + n_ge;
+        let n_total = art_start + n_ge + n_eq;
+        let w = n_struct + n_ge + 1;
+        let rhs_c = w - 1;
+
+        let mut t = vec![0.0f64; (m + 2) * w];
+        let mut cols: Vec<usize> = (0..n_struct).collect();
+        let mut basis = vec![usize::MAX; m];
+        let mut next_slack = n_struct;
+        let mut next_art = art_start;
+        let n_rows = lp.num_rows();
+        for (r, &(rhs, negate, op)) in plan.iter().enumerate() {
+            let row = &mut t[r * w..(r + 1) * w];
+            if r < n_rows {
+                // Summing the negated coefficients equals negating the
+                // sum: IEEE rounding is symmetric under negation.
+                for &(j, a) in &lp.rows()[r].coeffs {
+                    row[j] += if negate { -a } else { a };
+                }
+            } else {
+                row[bounded[r - n_rows]] = 1.0;
+            }
+            row[rhs_c] = rhs;
+            match op {
+                RowOp::Le => {
+                    basis[r] = next_slack;
+                    next_slack += 1;
+                }
+                RowOp::Ge => {
+                    row[cols.len()] = -1.0;
+                    cols.push(next_slack);
+                    next_slack += 1;
+                    basis[r] = next_art;
+                    next_art += 1;
+                }
+                RowOp::Eq => {
+                    basis[r] = next_art;
+                    next_art += 1;
                 }
             }
         }
-        let Some(leave) = leave else {
-            return Ok(true); // unbounded in this phase
-        };
-        pivot(t, basis, m, width, leave, enter);
-    }
-    Err(LpError::IterationLimit)
-}
+        debug_assert_eq!(cols.len(), w - 1);
 
-/// Pivot on `(row, col)`: normalize the pivot row and eliminate the column
-/// from all other rows (including both cost rows).
-fn pivot(t: &mut [f64], basis: &mut [usize], m: usize, width: usize, row: usize, col: usize) {
-    let idx = |r: usize, c: usize| r * width + c;
-    let piv = t[idx(row, col)];
-    debug_assert!(piv.abs() > PIVOT_EPS, "pivot element too small: {piv}");
-    let inv = 1.0 / piv;
-    for c in 0..width {
-        t[idx(row, c)] *= inv;
+        // Phase-II cost row: the objective on shifted variables (the
+        // constant cᵀ·lo is added back at extraction).
+        t[m * w..m * w + n_struct].copy_from_slice(lp.objective());
+        // Phase-I cost row: the sum of artificials with the basic ones
+        // eliminated, i.e. minus the sum of the artificial rows in row
+        // order (the artificial columns themselves come out at 0).
+        let (rows, cost) = t.split_at_mut((m + 1) * w);
+        for r in 0..m {
+            if basis[r] >= art_start {
+                for (c, &v) in cost.iter_mut().zip(&rows[r * w..(r + 1) * w]) {
+                    if v != 0.0 {
+                        *c -= v;
+                    }
+                }
+            }
+        }
+
+        Tableau {
+            m,
+            w,
+            t,
+            cols,
+            basis,
+            n_struct,
+            art_start,
+            n_total,
+            pivots: 0,
+            nz_rows: Vec::new(),
+            prow: Vec::new(),
+        }
     }
-    t[idx(row, col)] = 1.0;
-    for r in 0..m + 2 {
-        if r == row {
-            continue;
-        }
-        let factor = t[idx(r, col)];
-        if factor.abs() <= 1e-14 {
-            t[idx(r, col)] = 0.0;
-            continue;
-        }
-        for c in 0..width {
-            t[idx(r, c)] -= factor * t[idx(row, c)];
-        }
-        t[idx(r, col)] = 0.0;
+
+    fn at(&self, r: usize, s: usize) -> f64 {
+        self.t[r * self.w + s]
     }
-    basis[row] = col;
+
+    fn solve(&mut self, lp: &LinearProgram) -> Result<LpSolution, LpError> {
+        let (m, rhs_c) = (self.m, self.w - 1);
+        if self.n_struct == 0 {
+            return Ok(LpSolution {
+                status: LpStatus::Optimal,
+                x: Vec::new(),
+                objective: 0.0,
+                pivots: 0,
+            });
+        }
+        let max_iters = 200 * (m + self.n_total) + 2000;
+        let dantzig_limit = DANTZIG_LIMIT_FACTOR * (m + self.n_total) + 200;
+
+        // ---- Phase I ----
+        if self.art_start < self.n_total {
+            self.run_phase(m + 1, self.n_total, max_iters, dantzig_limit)?;
+            if -self.at(m + 1, rhs_c) > FEAS_EPS {
+                return Ok(LpSolution {
+                    status: LpStatus::Infeasible,
+                    x: Vec::new(),
+                    objective: f64::NAN,
+                    pivots: self.pivots,
+                });
+            }
+            // Drive remaining artificials out of the basis where
+            // possible: enter the lowest-index non-artificial column
+            // with a usable entry. If none exists the row is redundant;
+            // the artificial stays basic at value ~0, which is harmless.
+            for r in 0..m {
+                if self.basis[r] < self.art_start {
+                    continue;
+                }
+                let enter = (0..rhs_c)
+                    .filter(|&s| self.cols[s] < self.art_start && self.at(r, s).abs() > PIVOT_EPS)
+                    .min_by_key(|&s| self.cols[s]);
+                if let Some(s) = enter {
+                    self.nz_rows.clear();
+                    self.nz_rows
+                        .extend((0..m).filter(|&q| self.t[q * self.w + s] != 0.0));
+                    self.pivot(r, s);
+                }
+            }
+        }
+
+        // ---- Phase II: artificials never re-enter ----
+        if self.run_phase(m, self.art_start, max_iters, dantzig_limit)? {
+            return Ok(LpSolution {
+                status: LpStatus::Unbounded,
+                x: Vec::new(),
+                objective: f64::NEG_INFINITY,
+                pivots: self.pivots,
+            });
+        }
+
+        // Extract the shifted solution, then unshift.
+        let mut y = vec![0.0f64; self.n_struct];
+        for r in 0..m {
+            if self.basis[r] < self.n_struct {
+                y[self.basis[r]] = self.at(r, rhs_c);
+            }
+        }
+        let lo = lp.lower_bounds();
+        let x: Vec<f64> = y.iter().zip(lo).map(|(&v, &l)| l + v.max(0.0)).collect();
+        let objective = lp.objective_at(&x);
+        Ok(LpSolution {
+            status: LpStatus::Optimal,
+            x,
+            objective,
+            pivots: self.pivots,
+        })
+    }
+
+    /// Run simplex iterations minimizing cost row `cost_r`, pricing only
+    /// original columns below `limit`. Returns `Ok(true)` if unbounded,
+    /// `Ok(false)` at optimality.
+    fn run_phase(
+        &mut self,
+        cost_r: usize,
+        limit: usize,
+        max_iters: usize,
+        dantzig_limit: usize,
+    ) -> Result<bool, LpError> {
+        let (m, w) = (self.m, self.w);
+        let rhs_c = w - 1;
+        for iter in 0..max_iters {
+            let cost = &self.t[cost_r * w..cost_r * w + rhs_c];
+            let Some(enter) = entering(cost, &self.cols, limit, iter >= dantzig_limit) else {
+                return Ok(false); // optimal
+            };
+            // Ratio test, collecting the rows the pivot must eliminate.
+            self.nz_rows.clear();
+            let mut leave: Option<usize> = None;
+            let mut best_ratio = f64::INFINITY;
+            for r in 0..m {
+                let a = self.t[r * w + enter];
+                if a == 0.0 {
+                    continue;
+                }
+                self.nz_rows.push(r);
+                if a > PIVOT_EPS {
+                    let ratio = self.t[r * w + rhs_c] / a;
+                    let better = ratio < best_ratio - 1e-12
+                        || (ratio < best_ratio + 1e-12
+                            && leave.is_some_and(|l| self.basis[r] < self.basis[l]));
+                    if better {
+                        best_ratio = ratio;
+                        leave = Some(r);
+                    }
+                }
+            }
+            let Some(leave) = leave else {
+                return Ok(true); // unbounded in this phase
+            };
+            self.pivot(leave, enter);
+        }
+        Err(LpError::IterationLimit)
+    }
+
+    /// Pivot on `(row, slot s)`. `nz_rows` must hold every constraint row
+    /// whose entry in slot `s` is nonzero; the cost rows are always
+    /// eliminated. The entering column becomes basic and the leaving
+    /// variable takes slot `s`.
+    fn pivot(&mut self, row: usize, s: usize) {
+        let w = self.w;
+        let inv = 1.0 / self.t[row * w + s];
+        self.prow.clear();
+        for (c, v) in self.t[row * w..(row + 1) * w].iter_mut().enumerate() {
+            if *v != 0.0 {
+                *v *= inv;
+                if c != s && *v != 0.0 {
+                    self.prow.push((c, *v));
+                }
+            }
+        }
+        // The leaving variable's unit column, divided by the pivot.
+        self.t[row * w + s] = inv;
+        let cost_rows = [self.m, self.m + 1];
+        for &r in self.nz_rows.iter().chain(&cost_rows) {
+            if r == row {
+                continue;
+            }
+            let line = &mut self.t[r * w..(r + 1) * w];
+            let factor = line[s];
+            if factor.abs() <= ELIM_EPS {
+                line[s] = 0.0;
+                continue;
+            }
+            for &(c, p) in &self.prow {
+                line[c] -= factor * p;
+            }
+            line[s] = 0.0 - factor * inv;
+        }
+        std::mem::swap(&mut self.cols[s], &mut self.basis[row]);
+        self.pivots += 1;
+    }
 }
 
 #[cfg(test)]
@@ -478,6 +588,46 @@ mod tests {
                 "simplex {} vs vertices {best}",
                 sol.objective
             );
+        }
+    }
+
+    /// `entering` over permuted slots picks the column the dense
+    /// kernel's ascending scan picks, under both rules: basic columns
+    /// price at zero there, and costs repeat so ties are common.
+    #[test]
+    fn entering_matches_ascending_scan() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(13);
+        let values = [-2.0, -1.0, -1.0, -COST_EPS, -0.5, 0.0, -0.0, 1.0];
+        for _case in 0..2000 {
+            let n_total = rng.random_range(1..12usize);
+            let limit = rng.random_range(0..=n_total);
+            let mut cols: Vec<usize> = (0..n_total).collect();
+            cols.shuffle(&mut rng);
+            cols.truncate(rng.random_range(0..=n_total)); // the rest are basic
+            let cost: Vec<f64> = cols
+                .iter()
+                .map(|_| values[rng.random_range(0..values.len())])
+                .collect();
+            let mut dense_row = vec![0.0; n_total];
+            for (&j, &rc) in cols.iter().zip(&cost) {
+                dense_row[j] = rc;
+            }
+            for bland in [false, true] {
+                let mut want = None;
+                let mut best = -COST_EPS;
+                for (j, &rc) in dense_row.iter().enumerate().take(limit) {
+                    if rc < best {
+                        want = Some(j);
+                        if bland {
+                            break;
+                        }
+                        best = rc;
+                    }
+                }
+                let got = entering(&cost, &cols, limit, bland).map(|s| cols[s]);
+                assert_eq!(got, want, "cols {cols:?} cost {cost:?} bland {bland}");
+            }
         }
     }
 }

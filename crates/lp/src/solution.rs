@@ -26,6 +26,8 @@ pub struct LpSolution {
     pub x: Vec<f64>,
     /// Objective value (`NaN` if infeasible, `−∞` if unbounded).
     pub objective: f64,
+    /// Simplex pivots the solve took (both phases).
+    pub pivots: u64,
 }
 
 impl LpSolution {
@@ -53,24 +55,28 @@ mod tests {
             status: LpStatus::Optimal,
             x: vec![2.0],
             objective: 2.0,
+            pivots: 0,
         };
         assert!(good.verify(&lp, 1e-9));
         let infeasible_point = LpSolution {
             status: LpStatus::Optimal,
             x: vec![1.0],
             objective: 1.0,
+            pivots: 0,
         };
         assert!(!infeasible_point.verify(&lp, 1e-9));
         let wrong_obj = LpSolution {
             status: LpStatus::Optimal,
             x: vec![2.0],
             objective: 5.0,
+            pivots: 0,
         };
         assert!(!wrong_obj.verify(&lp, 1e-9));
         let not_optimal = LpSolution {
             status: LpStatus::Infeasible,
             x: vec![],
             objective: f64::NAN,
+            pivots: 0,
         };
         assert!(!not_optimal.verify(&lp, 1e-9));
     }

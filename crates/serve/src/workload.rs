@@ -405,4 +405,29 @@ mod tests {
             assert_eq!(a.cache_key(), b.cache_key());
         }
     }
+
+    /// LPs (1), (2) and (3) agree to 1e-5 on every broadcast family the
+    /// pool draws from, on MST and shuffled targets. In debug builds each
+    /// simplex solve behind them is also checked bit for bit against the
+    /// dense reference kernel.
+    #[test]
+    fn lp_formulations_agree_on_every_broadcast_family() {
+        let mut rng = StdRng::seed_from_u64(0x1_2_3);
+        for family in 0..4 {
+            let (game, mst) = broadcast_instance(&mut rng, family);
+            for tree in [mst, shuffled_tree(game.graph(), &mut rng)] {
+                let (state, _) = ndg_core::State::from_tree(&game, &tree).unwrap();
+                let (lp1, _) = ndg_sne::lp_general::enforce_state_cutting(&game, &state).unwrap();
+                let lp2 = ndg_sne::lp_poly::enforce_state_poly(&game, &state).unwrap();
+                let lp3 = ndg_sne::lp_broadcast::enforce_tree_lp(&game, &tree).unwrap();
+                for (name, cost) in [("LP (1)", lp1.cost), ("LP (2)", lp2.cost)] {
+                    assert!(
+                        (cost - lp3.cost).abs() < 1e-5,
+                        "family {family}: {name} {cost} vs LP (3) {}",
+                        lp3.cost
+                    );
+                }
+            }
+        }
+    }
 }
